@@ -1,21 +1,20 @@
-//! Scalar vs. auto vs. explicit-SIMD sweep engine matrix, plus the batched
-//! Helmholtz inversion per lane backend → appends one record to
-//! `BENCH_kernels.json`.
+//! Auto vs. explicit-SIMD sweep matrix, plus the batched Helmholtz
+//! inversion per lane backend → appends one record to `BENCH_kernels.json`.
 //!
-//! Three tiers, all bit-identical (proven by the hydro parity tests):
+//! Two tiers, bit-identical (proven by the hydro parity tests):
 //!
-//! * **scalar** — the per-zone AoS reference engine (`SweepEngine::Scalar`):
-//!   strided index arithmetic and `[f64; 8]` rows per cell.
-//! * **auto** — the pencil SoA engine on the 1-wide portable lane
-//!   (`Resolved::Scalar`): gather-once lanes, but vectorization is left
-//!   entirely to the compiler.
+//! * **auto** — the baseline: the pencil SoA engine on the 1-wide portable
+//!   lane (`Resolved::Scalar`): gather-once lanes, but vectorization is
+//!   left entirely to the compiler.
 //! * **explicit** — the same pencil engine on each wider backend
 //!   (`v2`/`v4` portable, `sse2`/`avx2` intrinsics where the CPU has
 //!   them): the explicit lane kernels this crate exists to measure.
 //!
 //! The workload is the paper's hydro-dominated case — a seeded 3-d Sedov
 //! grid — swept in all three directions with the EOS folded into the sweep
-//! (`SweepEos::Batch`), exactly the traffic Table II instruments. A
+//! (`SweepEos::Batch`), exactly the traffic Table II instruments. Records
+//! written before the auto tier became the baseline also carry
+//! `ns_per_zone_scalar` and `speedup` from the retired per-zone engine. A
 //! separate micro-benchmark runs the batched Helmholtz `DensEi` inversion
 //! (masked re-iteration Newton) once per backend and reports ns/lane plus
 //! the vectorized-lane fraction (`batch_occupancy`; plateau-accepted lanes
@@ -27,8 +26,7 @@
 //! than the auto tier — the regression gate for the explicit kernels
 //! (an uninlined `#[target_feature]` boundary shows up as a 3x+ cliff,
 //! far outside the tolerance), while 5–10% scheduling noise on a loaded
-//! CI box cannot fail the build. The scalar-vs-pencil ratio stays
-//! print-only.
+//! CI box cannot fail the build.
 
 use std::time::Instant;
 
@@ -37,7 +35,7 @@ use rflash_core::setups::sedov::SedovSetup;
 use rflash_core::{RuntimeParams, Simulation};
 use rflash_eos::{Eos, EosBatch, EosMode, Helmholtz, TableConfig};
 use rflash_hugepages::Policy;
-use rflash_hydro::{compute_dt_parallel, sweep_direction, SweepConfig, SweepEngine, SweepEos, NFLUX};
+use rflash_hydro::{compute_dt_parallel, sweep_direction, SweepConfig, SweepEos, NFLUX};
 use rflash_mesh::flux::FluxRegister;
 use rflash_simd::Resolved;
 use serde::{Deserialize, Serialize};
@@ -51,9 +49,8 @@ struct KernelRecord {
     zones_per_round: u64,
     /// What `Backend::Native` resolved to on this host.
     simd_resolved: String,
-    /// Per-zone AoS reference engine.
-    ns_per_zone_scalar: f64,
-    /// Pencil SoA engine, 1-wide lanes (compiler autovectorization only).
+    /// Pencil SoA engine, 1-wide lanes (compiler autovectorization only):
+    /// the baseline tier.
     ns_per_zone_auto: f64,
     /// Pencil SoA engine on the native explicit backend (field name kept
     /// from the pre-matrix records so the history stays comparable).
@@ -62,8 +59,6 @@ struct KernelRecord {
     explicit_ns_per_zone: Vec<(String, f64)>,
     /// Fastest explicit backend in `explicit_ns_per_zone`.
     best_explicit: String,
-    /// scalar / native-explicit per-zone time (>1: the pencil engine wins).
-    speedup: f64,
     /// auto / best-explicit per-zone time (>1: explicit SIMD beats
     /// autovectorization) — the `--enforce-explicit` gate.
     explicit_vs_auto: f64,
@@ -91,15 +86,13 @@ fn sedov_sim(scale: &RunScale) -> Simulation {
 }
 
 /// Time `rounds` full (x, y, z) sweep triples with the sweep-integrated
-/// EOS on one (engine, backend) combination. Returns (ns per zone, zones
-/// per round). A fresh deterministic Sedov grid per combination plus
-/// bit-identical engines means every timing walks exactly the same states
-/// and dt sequence.
-fn time_engine(scale: &RunScale, engine: SweepEngine, simd: Resolved, rounds: u64) -> (f64, u64) {
+/// EOS on one lane backend. Returns (ns per zone, zones per round). A
+/// fresh deterministic Sedov grid per backend plus bit-identical backends
+/// means every timing walks exactly the same states and dt sequence.
+fn time_backend(scale: &RunScale, simd: Resolved, rounds: u64) -> (f64, u64) {
     let mut sim = sedov_sim(scale);
     let ndim = sim.domain.tree.config().ndim;
     let cfg = SweepConfig {
-        engine,
         simd,
         pattern_every: 0,
         ..SweepConfig::default()
@@ -235,15 +228,13 @@ fn main() {
     let rounds = if scale.steps == 0 { 10 } else { scale.steps };
     let native = rflash_simd::resolve(rflash_simd::Backend::Native);
 
-    let (ns_scalar, zones_per_round) =
-        time_engine(&scale, SweepEngine::Scalar, native, rounds);
-    let (ns_auto, _) = time_engine(&scale, SweepEngine::Pencil, Resolved::Scalar, rounds);
+    let (ns_auto, zones_per_round) = time_backend(&scale, Resolved::Scalar, rounds);
     let mut explicit: Vec<(String, f64)> = Vec::new();
     for &b in Resolved::all() {
         if b == Resolved::Scalar {
             continue; // that's the auto tier
         }
-        let (ns, _) = time_engine(&scale, SweepEngine::Pencil, b, rounds);
+        let (ns, _) = time_backend(&scale, b, rounds);
         explicit.push((b.name().to_string(), ns));
     }
     let ns_native = explicit
@@ -268,23 +259,16 @@ fn main() {
         rounds,
         zones_per_round,
         simd_resolved: native.name().to_string(),
-        ns_per_zone_scalar: ns_scalar,
         ns_per_zone_auto: ns_auto,
         ns_per_zone_batched: ns_native,
         explicit_ns_per_zone: explicit.clone(),
         best_explicit: best_name.clone(),
-        speedup: ns_scalar / ns_native.max(1e-12),
         explicit_vs_auto: ns_auto / best_ns.max(1e-12),
         batch_occupancy: occupancy,
         helmholtz_ns_per_lane: helm_ns.clone(),
     };
     println!("sedov_3d sweep+eos (native = {}):", rec.simd_resolved);
-    println!("  scalar engine   {:>9.1} ns/zone", rec.ns_per_zone_scalar);
-    println!(
-        "  pencil auto     {:>9.1} ns/zone  ({:.2}x vs scalar)",
-        rec.ns_per_zone_auto,
-        rec.ns_per_zone_scalar / rec.ns_per_zone_auto.max(1e-12)
-    );
+    println!("  pencil auto     {:>9.1} ns/zone", rec.ns_per_zone_auto);
     for (name, ns) in &explicit {
         println!(
             "  pencil {name:<8} {:>9.1} ns/zone  ({:.2}x vs auto)",

@@ -218,9 +218,8 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
-    // Guardian interventions: a run that rolled back, halved dt, or fell
-    // back to the scalar engine is not comparable to a clean run, and the
-    // table says so explicitly.
+    // Guardian interventions: a run that rolled back or halved dt is not
+    // comparable to a clean run, and the table says so explicitly.
     println!("\n{}", sim.guardian_stats);
 
     // Fallback/retry counters from the allocation degradation chain: a run

@@ -2,9 +2,9 @@
 //! reconcile the digests against the committed golden corpus →
 //! `BENCH_scenarios.json`.
 //!
-//! Each scenario runs at smoke scale in all eight cells of
-//! `SweepEngine::{Scalar, Pencil}` × `StepScheduler::{Barrier, TaskGraph}`
-//! × `nranks ∈ {1, 4}`. The repo's determinism invariants say every cell
+//! Each scenario runs at smoke scale in all four cells of
+//! `StepScheduler::{Barrier, TaskGraph}` × `nranks ∈ {1, 4}`. The repo's
+//! determinism invariants say every cell
 //! must produce one digest; this bin checks that first, then compares the
 //! digest against `golden/<scenario>.ron`.
 //!
@@ -16,7 +16,7 @@
 //! cargo run --release -p rflash-bench --bin scenario_matrix -- --golden-dir path/to/corpus
 //! ```
 //!
-//! `--bless` only rewrites a record after the internal eight-cell
+//! `--bless` only rewrites a record after the internal four-cell
 //! consistency check passes — a matrix that disagrees with itself is a bug,
 //! never a new golden.
 
@@ -33,7 +33,6 @@ use rflash_hydro::SweepEngine;
 #[derive(Serialize)]
 struct CellRecord {
     scenario: String,
-    engine: String,
     scheduler: String,
     nranks: usize,
     steps: u64,
@@ -83,43 +82,38 @@ fn main() {
         let mut reference: Option<StateDigest> = None;
         let mut consistent = true;
 
-        for engine in [SweepEngine::Scalar, SweepEngine::Pencil] {
-            for scheduler in [StepScheduler::Barrier, StepScheduler::TaskGraph] {
-                for nranks in [1usize, 4] {
-                    let start = Instant::now();
-                    let sim = registry::run_smoke(&spec, nranks, engine, scheduler)
-                        .unwrap_or_else(|e| panic!("{name}: smoke run failed: {e}"));
-                    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                    let digest = StateDigest::of(&sim);
-                    println!(
-                        "   {engine:?}/{scheduler:?} nranks={nranks}: {digest} ({wall_ms:.0} ms)"
-                    );
-                    match reference {
-                        None => reference = Some(digest),
-                        Some(r) if digest != r => {
-                            consistent = false;
-                            eprintln!(
-                                "   !! matrix cell diverged from its siblings: \
-                                 {engine:?}/{scheduler:?} nranks={nranks}"
-                            );
-                        }
-                        Some(_) => {}
+        for scheduler in [StepScheduler::Barrier, StepScheduler::TaskGraph] {
+            for nranks in [1usize, 4] {
+                let start = Instant::now();
+                let sim = registry::run_smoke(&spec, nranks, SweepEngine::Pencil, scheduler)
+                    .unwrap_or_else(|e| panic!("{name}: smoke run failed: {e}"));
+                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                let digest = StateDigest::of(&sim);
+                println!("   {scheduler:?} nranks={nranks}: {digest} ({wall_ms:.0} ms)");
+                match reference {
+                    None => reference = Some(digest),
+                    Some(r) if digest != r => {
+                        consistent = false;
+                        eprintln!(
+                            "   !! matrix cell diverged from its siblings: \
+                             {scheduler:?} nranks={nranks}"
+                        );
                     }
-                    cells.push(CellRecord {
-                        scenario: name.clone(),
-                        engine: format!("{engine:?}").to_lowercase(),
-                        scheduler: match scheduler {
-                            StepScheduler::Barrier => "barrier".into(),
-                            StepScheduler::TaskGraph => "task_graph".into(),
-                        },
-                        nranks,
-                        steps: spec.smoke.steps,
-                        crc: format!("crc32:{:08x}", digest.crc),
-                        leaves: digest.leaves,
-                        cells: digest.cells,
-                        wall_ms,
-                    });
+                    Some(_) => {}
                 }
+                cells.push(CellRecord {
+                    scenario: name.clone(),
+                    scheduler: match scheduler {
+                        StepScheduler::Barrier => "barrier".into(),
+                        StepScheduler::TaskGraph => "task_graph".into(),
+                    },
+                    nranks,
+                    steps: spec.smoke.steps,
+                    crc: format!("crc32:{:08x}", digest.crc),
+                    leaves: digest.leaves,
+                    cells: digest.cells,
+                    wall_ms,
+                });
             }
         }
 

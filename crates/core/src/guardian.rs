@@ -8,9 +8,8 @@
 //! the evolved state before committing it, rolls back to a shadow snapshot
 //! ([`rflash_mesh::ShadowSnapshot`]) on violation, retries under a bounded
 //! budget (first at the same `dt` — a transient fault recovers bit-exactly
-//! — then at halved `dt`, optionally degrading the sweep engine
-//! `Pencil → Scalar` on the final attempt), and on exhaustion writes an
-//! emergency checkpoint and returns a typed [`StepError`]. Every
+//! — then at halved `dt`), and on exhaustion writes an emergency checkpoint
+//! and returns a typed [`StepError`]. Every
 //! intervention lands in [`rflash_perfmon::GuardianStats`].
 //!
 //! This module holds the pieces that are policy, not driver plumbing: the
@@ -26,15 +25,14 @@ use crate::checkpoint::CheckpointError;
 
 /// Retry/validation policy for the step guardian. Lives in
 /// [`crate::RuntimeParams`] (serde-defaulted, so pre-guardian checkpoints
-/// and parameter files still load).
+/// and parameter files still load; keys this struct no longer has, such as
+/// the retired engine-degrade switch, are ignored).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct GuardianConfig {
     /// Master switch. Off restores the PR-4 unguarded step verbatim.
     pub enabled: bool,
     /// Retry budget per step (0 = validate but never retry).
     pub max_retries: u32,
-    /// Degrade `SweepEngine::Pencil → Scalar` on the final retry.
-    pub degrade_engine: bool,
     /// Exclusive floor for density: `dens > dens_min` must hold.
     pub dens_min: f64,
     /// Exclusive floor for pressure.
@@ -48,7 +46,6 @@ impl Default for GuardianConfig {
         GuardianConfig {
             enabled: true,
             max_retries: 2,
-            degrade_engine: true,
             dens_min: 0.0,
             pres_min: 0.0,
             ener_min: 0.0,
@@ -322,14 +319,43 @@ mod tests {
     fn config_serde_defaults_apply_to_old_params() {
         // A pre-guardian JSON blob (no `guardian` key) must deserialize.
         let g: GuardianConfig = serde_json::from_str(
-            r#"{"enabled": false, "max_retries": 7, "degrade_engine": false,
+            r#"{"enabled": false, "max_retries": 7,
                 "dens_min": 0.0, "pres_min": 0.0, "ener_min": 0.0}"#,
         )
         .unwrap();
         assert!(!g.enabled);
         assert_eq!(g.max_retries, 7);
         let d = GuardianConfig::default();
-        assert!(d.enabled && d.degrade_engine);
+        assert!(d.enabled);
         assert_eq!(d.max_retries, 2);
+
+        // Parameters as an earlier build wrote them, into checkpoints too:
+        // the retired engine-degrade key and the one-variant `sweep_engine`
+        // still load. The derive's wire form of an enum value is its
+        // variant name.
+        let old = |engine: &str| {
+            format!(
+                r#"{{"mesh":{{"ndim":2,"nxb":8,"nguard":4,"nvar":11,"max_blocks":512,
+                "nroot":[1,1,1],"domain_lo":[0.0,0.0,0.0],"domain_hi":[1.0,1.0,1.0],
+                "min_refine":0,"max_refine":4,"bc":"Outflow",
+                "bc_faces":[[null,null],[null,null],[null,null]],"geometry":"Cartesian",
+                "layout":"VarFirst"}},"policy":"None","cfl":0.3,"dens_floor":1e-30,
+                "eint_floor":1e-30,"nranks":1,"regrid_every":4,"gravity_every":2,
+                "pattern_every":4,"gather_every":4,"tlb_sample_every":1,"use_hw":true,
+                "checkpoint_every":0,"sweep_engine":"{engine}","simd_backend":"Native",
+                "guardian":{{"enabled":true,"max_retries":2,"degrade_engine":true,
+                "dens_min":0.0,"pres_min":0.0,"ener_min":0.0}},
+                "step_scheduler":"TaskGraph","adversary_seed":null}}"#
+            )
+        };
+        let p: crate::RuntimeParams = serde_json::from_str(&old("Pencil")).unwrap();
+        assert_eq!(p.sweep_engine, rflash_hydro::SweepEngine::Pencil);
+        assert!(p.guardian.enabled);
+        assert_eq!(p.guardian.max_retries, 2);
+        // The retired scalar engine is a typed error that names the value.
+        for engine in ["Scalar", "scalar"] {
+            let e = serde_json::from_str::<crate::RuntimeParams>(&old(engine)).unwrap_err();
+            assert!(e.to_string().contains(&format!("`{engine}`")), "{e}");
+        }
     }
 }

@@ -53,8 +53,9 @@ pub struct RuntimeParams {
     /// [`crate::Simulation::evolve_checkpointed`] (0 disables).
     #[serde(default)]
     pub checkpoint_every: u64,
-    /// Sweep inner-loop engine (pencil-batched SoA by default; `scalar`
-    /// keeps the per-zone reference path).
+    /// Sweep inner-loop engine: always `Pencil`, the only engine. Kept so
+    /// existing parameter files and checkpoints load; any other value is a
+    /// deserialisation error naming it.
     #[serde(default)]
     pub sweep_engine: SweepEngine,
     /// SIMD backend request for the explicit lane kernels (pencil sweep,
@@ -64,8 +65,8 @@ pub struct RuntimeParams {
     /// overrides this for testing. Every backend is bit-identical.
     #[serde(default)]
     pub simd_backend: rflash_simd::Backend,
-    /// Step-guardian policy (validation floors, retry budget, engine
-    /// degradation). Defaulted so pre-guardian checkpoints still load.
+    /// Step-guardian policy (validation floors, retry budget). Defaulted so
+    /// pre-guardian checkpoints still load.
     #[serde(default)]
     pub guardian: crate::guardian::GuardianConfig,
     /// In-step work scheduler. Defaulted so pre-task-graph checkpoints and

@@ -82,7 +82,8 @@ pub fn load(name: &str) -> Result<SetupSpec, SpecError> {
 
 /// Deterministic runtime parameters for a golden-corpus cell: hardware
 /// counters and pattern recording off, mesh/budgets from the spec, the
-/// matrix axes (ranks, engine, scheduler) from the caller.
+/// matrix axes (ranks, scheduler) from the caller. `engine` is the
+/// one-variant [`SweepEngine`], taken so existing callers keep compiling.
 pub fn smoke_params(
     spec: &SetupSpec,
     nranks: usize,

@@ -6,7 +6,7 @@ use rflash_flame::AdrFlame;
 use rflash_gravity::{apply_gravity, GravityField, MonopoleSolver};
 use rflash_hugepages::faults::{self, FaultSite};
 use rflash_hydro::{
-    compute_dt_parallel_raw, sweep_direction_prefilled, SweepConfig, SweepEngine, SweepEos, NFLUX,
+    compute_dt_parallel_raw, sweep_direction_prefilled, SweepConfig, SweepEos, NFLUX,
 };
 use rflash_mesh::flux::FluxRegister;
 use rflash_mesh::refine::{lohner_marks, LohnerConfig};
@@ -309,8 +309,8 @@ impl Simulation {
     }
 
     /// The guarded step state machine: validate → rollback → retry
-    /// (same dt first, then halved) → degrade engine → emergency
-    /// checkpoint → typed abort. See DESIGN.md §12.
+    /// (same dt first, then halved) → emergency checkpoint → typed
+    /// abort. See DESIGN.md §12.
     pub(crate) fn guarded_step(
         &mut self,
         series: Option<&CheckpointSeries>,
@@ -347,7 +347,6 @@ impl Simulation {
         let shadow_ok = self.shadow.capture(&self.domain);
         self.timers.stop("guardian");
 
-        let saved_engine = self.params.sweep_engine;
         let step = self.step;
         let mut attempt: u32 = 0;
         loop {
@@ -396,19 +395,6 @@ impl Simulation {
                 raw
             };
 
-            // Final attempt: optionally degrade the pencil engine to the
-            // scalar reference path, in case the SoA fast path itself is
-            // what keeps producing the bad state.
-            if attempt == g.max_retries
-                && attempt > 0
-                && g.degrade_engine
-                && saved_engine == SweepEngine::Pencil
-            {
-                self.params.sweep_engine = SweepEngine::Scalar;
-                self.guardian_stats
-                    .record(GuardianEvent::EngineDegrade { step, attempt });
-            }
-
             self.advance_physics(dt);
 
             self.timers.start("guardian");
@@ -417,7 +403,6 @@ impl Simulation {
             self.guardian_stats.count_validation();
 
             let Some(detail) = verdict else {
-                self.params.sweep_engine = saved_engine;
                 self.commit_step(dt);
                 self.timers.stop("step");
                 return Ok(dt);
@@ -445,7 +430,6 @@ impl Simulation {
 
             // Budget exhausted (or no snapshot to retry from). Only a
             // rolled-back — known-good — state is worth checkpointing.
-            self.params.sweep_engine = saved_engine;
             let ckpt = self.emergency(series, rolled_back);
             self.guardian_stats.record(GuardianEvent::Abort {
                 step,

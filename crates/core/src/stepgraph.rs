@@ -33,8 +33,8 @@ use std::time::Instant;
 use rflash_gravity::GravityField;
 use rflash_hugepages::faults::{self, FaultSite};
 use rflash_hydro::{
-    apply_block_corrections, block_min_wavetime_slab, sweep_leaf_block, SweepConfig, SweepEngine,
-    SweepEos, NFLUX,
+    apply_block_corrections, block_min_wavetime_slab, sweep_leaf_block, SweepConfig, SweepEos,
+    NFLUX,
 };
 use rflash_mesh::audit::ResourceMap;
 use rflash_mesh::executor::PerRank;
@@ -518,7 +518,7 @@ impl Simulation {
     /// before the dispatch: `dt-zero` first (skipping the graph entirely,
     /// like the barrier path's bad-dt attempt touches no state), then the
     /// state-corruption sites whose flags drive the in-graph Inject task.
-    fn graph_attempt(&mut self, attempt: u32, degrade: bool, fused: bool) -> GraphAttemptOutcome {
+    fn graph_attempt(&mut self, attempt: u32, fused: bool) -> GraphAttemptOutcome {
         let cfl = self.params.cfl;
         assert!(cfl > 0.0 && cfl < 1.0, "CFL must be in (0, 1)");
         if faults::fires(FaultSite::DtZero) {
@@ -547,17 +547,12 @@ impl Simulation {
         };
         self.ensure_graph_plan(key);
 
-        let engine = if degrade {
-            SweepEngine::Scalar
-        } else {
-            self.params.sweep_engine
-        };
         let sweep_cfg = SweepConfig {
             nranks,
             dens_floor: self.params.dens_floor,
             eint_floor: self.params.eint_floor,
             pattern_every: self.params.pattern_every,
-            engine,
+            engine: self.params.sweep_engine,
             simd: rflash_simd::resolve(self.params.simd_backend),
             scratch_policy: self.params.policy,
         };
@@ -824,7 +819,7 @@ impl Simulation {
 
     /// The guarded step driven by graph attempts — the same state machine
     /// as the barrier `guarded_step` (validate → rollback → retry →
-    /// degrade → abort), with `advance_physics` + `validate_domain`
+    /// abort), with `advance_physics` + `validate_domain`
     /// replaced by one graph dispatch per attempt.
     pub(crate) fn guarded_step_graph(
         &mut self,
@@ -840,7 +835,7 @@ impl Simulation {
         if !g.enabled {
             // The unguarded step: one attempt, typed error on a bad dt
             // (the poisoned graph left the state untouched).
-            let out = self.graph_attempt(0, false, fused);
+            let out = self.graph_attempt(0, fused);
             if out.poisoned {
                 self.timers.stop("step");
                 return Err(StepError::BadDt {
@@ -860,21 +855,10 @@ impl Simulation {
         let shadow_ok = self.shadow.capture(&self.domain);
         self.timers.stop("guardian");
 
-        let saved_engine = self.params.sweep_engine;
         let step = self.step;
         let mut attempt: u32 = 0;
         loop {
-            // Final attempt: optionally fall back to the scalar reference
-            // engine. The flag is applied to the attempt's sweep config up
-            // front (the graph needs it before dispatch) but recorded only
-            // when the attempt actually advances state — a bad-dt attempt
-            // never sweeps, matching the barrier ordering.
-            let degrade = attempt == g.max_retries
-                && attempt > 0
-                && g.degrade_engine
-                && saved_engine == SweepEngine::Pencil;
-
-            let out = self.graph_attempt(attempt, degrade, fused);
+            let out = self.graph_attempt(attempt, fused);
             if out.poisoned {
                 self.guardian_stats.record(GuardianEvent::BadDt {
                     step,
@@ -906,11 +890,6 @@ impl Simulation {
                 });
             }
             let (raw, dt) = (out.raw, out.dt);
-            if degrade {
-                self.params.sweep_engine = SweepEngine::Scalar;
-                self.guardian_stats
-                    .record(GuardianEvent::EngineDegrade { step, attempt });
-            }
 
             let verdict = if fused {
                 out.verdict
@@ -924,7 +903,6 @@ impl Simulation {
             self.guardian_stats.count_validation();
 
             let Some(detail) = verdict else {
-                self.params.sweep_engine = saved_engine;
                 self.commit_step(dt);
                 self.timers.stop("step");
                 return Ok(dt);
@@ -950,7 +928,6 @@ impl Simulation {
                 continue;
             }
 
-            self.params.sweep_engine = saved_engine;
             let ckpt = self.emergency(series, rolled_back);
             self.guardian_stats.record(GuardianEvent::Abort {
                 step,

@@ -1,25 +1,22 @@
 //! Pencil-batched SoA sweep engine, vectorized through `rflash-simd`.
 //!
-//! The scalar engine in [`crate::sweep`] walks zones through
-//! `UnkGeom::slab_idx` per cell: every read is a strided index computation
-//! plus a bounds check, and every kernel sees AoS-shaped `[f64; 8]` rows.
-//! This module is the batched alternative: each pencil is gathered **once**
-//! into contiguous f64 lanes (one lane per variable, guard cells included),
-//! the PPM/flattening/HLLC/update kernels run as explicit-SIMD lane loops
-//! over those lanes, and the results scatter back to `unk` in one pass.
-//! Real FLASH works the same way — `hy_ppm_sweep` copies blocks into 1-d
-//! sweep arrays before touching physics.
+//! Each pencil is gathered **once** into contiguous f64 lanes (one lane per
+//! variable, guard cells included), the PPM/flattening/HLLC/update kernels
+//! run as explicit-SIMD lane loops over those lanes, and the results scatter
+//! back to `unk` in one pass. Real FLASH works the same way —
+//! `hy_ppm_sweep` copies blocks into 1-d sweep arrays before touching
+//! physics.
 //!
 //! The kernels are generic over [`rflash_simd::Lane`] and the whole block
 //! body is entered through [`rflash_simd::dispatch`] exactly once per
 //! block — the backend (`SweepConfig::simd`) is a single branch out here,
 //! not a branch per loop iteration, and the AVX2 instantiation inlines
-//! into the `#[target_feature]` wrapper. Lane arithmetic keeps exactly the
-//! scalar engine's operation order (branches become bitwise masked
-//! selects; see the per-kernel notes in `ppm.rs`/`riemann.rs`/`state.rs`),
-//! so every backend produces bit-identical `unk` contents and the scalar
-//! path remains the parity reference and the fallback when scratch cannot
-//! be mapped.
+//! into the `#[target_feature]` wrapper. Every width keeps the one-lane
+//! operation order (branches become bitwise masked selects; see the
+//! per-kernel notes in `ppm.rs`/`riemann.rs`/`state.rs`), so every backend
+//! produces bit-identical `unk` contents and the one-lane instantiation,
+//! `Resolved::Scalar`, is the reference the wider backends are checked
+//! against.
 //!
 //! Scratch comes from a per-rank [`HugeArena`] created on first use (the
 //! rank pool's threads persist across epochs, so a `thread_local` is
@@ -107,8 +104,8 @@ fn floor_lane<L: Lane>(lane: &mut [f64], floor: f64) {
 }
 
 /// Primitive face states of `W` zones starting at `z` from one side's face
-/// lanes — the lane twin of the scalar engine's `mk` closure, same
-/// operations in the same order.
+/// lanes: floored density and pressure, gamma-law internal energy from the
+/// zone's `game`, and the zone's `gamc`.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn face_prim_lanes<L: Lane>(
@@ -141,10 +138,10 @@ fn face_prim_lanes<L: Lane>(
     }
 }
 
-/// Predictor-state recovery (twin of the scalar engine's `to_prim`
-/// closure): unphysical lanes (`eint <= 0` or `dens <= 0`, NaN included —
-/// the comparisons are false on NaN in both forms) fall back to the
-/// unpredicted face state via masked select.
+/// Predictor-state recovery, back to primitive face values (gamma-law
+/// locally): unphysical lanes (`eint <= 0` or `dens <= 0`, NaN included —
+/// the comparisons are false on NaN) keep the unpredicted face state via
+/// masked select. A strong wave in one zone can produce such a state.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn to_prim_lanes<L: Lane>(u: &[L; NFLUX], fallback: &PrimL<L>, game: L, dens_floor: f64) -> [L; 5] {
@@ -166,9 +163,10 @@ fn to_prim_lanes<L: Lane>(u: &[L; NFLUX], fallback: &PrimL<L>, game: L, dens_flo
     ]
 }
 
-/// MUSCL–Hancock predictor on `W` zones starting at `z` (twin of the
-/// scalar engine's predictor loop body; see `sweep.rs` for the scheme
-/// commentary).
+/// MUSCL–Hancock predictor on `W` zones starting at `z`: evolve each
+/// zone's pair of face states by a half step using the flux difference of
+/// its own faces — second order in time without characteristic tracing (a
+/// documented simplification of full PPM).
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn muscl_at<L: Lane>(
@@ -236,9 +234,9 @@ fn hllc_at<L: Lane>(
 }
 
 /// Conservative update + eint floor on `W` zones starting at `p`, writing
-/// the out lanes (twin of the scalar engine's update + `write_zone`
-/// conversion; the energy is re-derived from the floored eint only on
-/// floored lanes, exactly like the scalar branch).
+/// the out lanes (the lane form of `write_zone`'s conversion; the energy is
+/// re-derived from the floored eint only on floored lanes, exactly like
+/// `write_zone`'s branch).
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 #[allow(clippy::too_many_arguments)] // flat lane-slice plumbing, no natural struct
@@ -411,8 +409,7 @@ fn run_pencils<L: Lane>(
     for t2 in t2_range {
         for t1 in t1_range.clone() {
             // Gather all read variables into SoA lanes, one strided walk
-            // per variable, then apply the same floors the scalar
-            // engine's `load_prim` applies.
+            // per variable, then floor density, pressure and both gammas.
             geom.gather_pencil(slab, vars::DENS, dir, t1, t2, w_dens);
             geom.gather_pencil(slab, ctx.vm[0], dir, t1, t2, w_u);
             geom.gather_pencil(slab, ctx.vm[1], dir, t1, t2, w_v);
@@ -435,8 +432,7 @@ fn run_pencils<L: Lane>(
             reconstruct_lanes::<L>(w_w, ng - 1, ng + nxb + 1, flat, fm[3], fp[3]);
             reconstruct_lanes::<L>(w_pres, ng - 1, ng + nxb + 1, flat, fm[4], fp[4]);
 
-            // MUSCL–Hancock predictor, identical math to the scalar
-            // engine (see `sweep.rs` for the scheme commentary).
+            // MUSCL–Hancock predictor (see `muscl_at`).
             let half_dtdx = 0.5 * dtdx;
             let mut z = ng - 1;
             while z + L::W <= ng + nxb + 1 {
@@ -464,16 +460,13 @@ fn run_pencils<L: Lane>(
             // Conservative update on interior zones.
             if let SweepEos::PerZone(_) = ctx.eos {
                 // Per-zone callbacks are inherently cell-at-a-time; route
-                // through the shared write-back helper so the callback
-                // semantics (and probe accounting) match the scalar engine
-                // exactly.
+                // through the write-back helper the flux-correction
+                // re-derive shares, so both call the callback alike.
                 for p in ng..ng + nxb {
                     let mut u5 = Prim {
                         dens: w_dens[p],
                         vel: [w_u[p], w_v[p], w_w[p]],
-                        pres: w_pres[p],
                         ener: w_ener[p],
-                        gamc: w_gamc[p],
                     }
                     .to_cons();
                     if ctx.cylindrical_r {
@@ -563,8 +556,8 @@ fn run_pencils<L: Lane>(
                         // analyze::allow(panic): an EOS failure leaves the
                         // pencil half-updated with no recovery path; the
                         // rank pool converts the unwind into a clean
-                        // whole-simulation abort (same contract as the
-                        // scalar engine's per-zone arm).
+                        // whole-simulation abort (same contract as
+                        // `write_zone`'s per-zone arm).
                         panic!("EOS failure in pencil dir={dir} t1={t1} t2={t2}: {e}")
                     }
                 };
@@ -626,8 +619,7 @@ fn run_pencils<L: Lane>(
             fluxes_out.store(0, c1, c2, &lo_face);
             fluxes_out.store(1, c1, c2, &hi_face);
 
-            // Access-pattern recording (sampled), identical to the
-            // scalar engine's gating.
+            // Access-pattern recording (sampled).
             if ctx.cfg.pattern_every > 0 {
                 if pencil_counter.is_multiple_of(ctx.cfg.pattern_every) {
                     for &v in &READ_VARS {
@@ -643,16 +635,16 @@ fn run_pencils<L: Lane>(
     }
 }
 
-/// Sweep one block with the pencil engine. Returns `false` when scratch
-/// could not be mapped (the caller then runs the scalar path — no hot-path
-/// panic on allocation failure). The lane backend (`SweepConfig::simd`) is
-/// dispatched exactly once here, covering the whole block body.
+/// Sweep one block with the pencil engine. Fails only when the rank's
+/// scratch arena cannot be mapped under any policy. The lane backend
+/// (`SweepConfig::simd`) is dispatched exactly once here, covering the
+/// whole block body.
 pub(crate) fn sweep_block(
     ctx: &BlockCtx<'_>,
     slab: &mut [f64],
     fluxes_out: &mut BlockFluxes,
     probe: &mut Probe,
-) -> bool {
+) -> rflash_hugepages::Result<()> {
     let n = ctx.geom.pencil_len(ctx.dir);
     // Lane budget: 8 prim + flat/snap + 5×2 faces + 6 update outputs +
     // 3 EOS outputs + temp + abar/zbar, each `n` long, plus 5 interface
@@ -662,28 +654,17 @@ pub(crate) fn sweep_block(
     SCRATCH.with(|cell| {
         let mut slot = cell.borrow_mut();
         let need = total * std::mem::size_of::<f64>();
-        let rebuild = match slot.as_ref() {
-            Some(s) => s.arena.capacity() < need || s.requested != ctx.cfg.scratch_policy,
-            None => true,
+        let policy = ctx.cfg.scratch_policy;
+        let scratch = match slot.take() {
+            Some(s) if s.arena.capacity() >= need && s.requested == policy => s,
+            _ => Scratch {
+                arena: HugeArena::new(need, policy)?,
+                requested: policy,
+            },
         };
-        if rebuild {
-            match HugeArena::new(need, ctx.cfg.scratch_policy) {
-                Ok(arena) => {
-                    *slot = Some(Scratch {
-                        arena,
-                        requested: ctx.cfg.scratch_policy,
-                    })
-                }
-                Err(_) => return false,
-            }
-        }
-        let Some(scratch) = slot.as_mut() else {
-            return false;
-        };
+        let scratch = slot.insert(scratch);
         scratch.arena.recycle();
-        let Ok(all) = scratch.arena.alloc_slice::<f64>(total) else {
-            return false;
-        };
+        let all = scratch.arena.alloc_slice::<f64>(total)?;
 
         rflash_simd::dispatch(
             ctx.cfg.simd,
@@ -695,6 +676,6 @@ pub(crate) fn sweep_block(
                 all,
             },
         );
-        true
+        Ok(())
     })
 }

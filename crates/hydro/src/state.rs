@@ -1,32 +1,22 @@
-//! Primitive and conserved state vectors for one zone, plus the
-//! lane-generic twin [`PrimL`] holding `W` zones' states in packed lanes
-//! for the pencil engine's SIMD path. The twin replicates [`Prim`]'s
-//! operation order exactly so both are bit-identical per lane.
+//! Zone states in the sweep frame: [`Prim`] for the per-zone write-back
+//! paths (the `PerZone` EOS arm and the flux-correction re-derive), and
+//! [`PrimL`], `W` zones' face states in packed lanes for the pencil
+//! engine's kernels.
 
 use crate::NFLUX;
 use rflash_simd::Lane;
 
-/// Primitive state in the sweep frame: `vel[0]` is the sweep-normal
+/// One zone's state in the sweep frame: `vel[0]` is the sweep-normal
 /// velocity, `vel[1..]` are transverse.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Prim {
     pub dens: f64,
     pub vel: [f64; 3],
-    pub pres: f64,
     /// Specific total energy (internal + kinetic).
     pub ener: f64,
-    /// First adiabatic index Γ₁ at this zone (from the EOS).
-    pub gamc: f64,
 }
 
 impl Prim {
-    /// Adiabatic sound speed.
-    #[cfg_attr(debug_assertions, inline)]
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    pub fn sound_speed(&self) -> f64 {
-        (self.gamc * self.pres / self.dens).max(0.0).sqrt()
-    }
-
     /// Conserved vector (ρ, ρu, ρv, ρw, ρE).
     #[cfg_attr(debug_assertions, inline)]
     #[cfg_attr(not(debug_assertions), inline(always))]
@@ -38,28 +28,6 @@ impl Prim {
             self.dens * self.vel[2],
             self.dens * self.ener,
         ]
-    }
-
-    /// Physical flux through a face normal to the sweep direction.
-    #[cfg_attr(debug_assertions, inline)]
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    pub fn flux(&self) -> [f64; NFLUX] {
-        let u = self.vel[0];
-        let m = self.to_cons();
-        [
-            m[0] * u,
-            m[1] * u + self.pres,
-            m[2] * u,
-            m[3] * u,
-            (m[4] + self.pres) * u,
-        ]
-    }
-
-    /// Kinetic specific energy.
-    #[cfg_attr(debug_assertions, inline)]
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    pub fn ekin(&self) -> f64 {
-        0.5 * (self.vel[0] * self.vel[0] + self.vel[1] * self.vel[1] + self.vel[2] * self.vel[2])
     }
 }
 
@@ -76,12 +44,11 @@ pub fn cons_to_vel_ener(u: &[f64; NFLUX], dens_floor: f64) -> (f64, [f64; 3], f6
     (dens, vel, ener)
 }
 
-/// [`Prim`] over `W` packed zones — the lane-generic twin used by the
-/// pencil engine under dispatch. Each method mirrors the scalar method's
-/// operation order; `sound_speed`'s `max(0.0)` uses the lane select-`max`,
-/// which agrees bitwise with `f64::max` here because the argument is a
-/// product/quotient of positive floored quantities (never NaN, and a zero
-/// from underflow is positive).
+/// Primitive state of `W` packed zones, with the pressure and the first
+/// adiabatic index Γ₁ the Riemann solver needs. `sound_speed`'s `max(0.0)`
+/// uses the lane select-`max`, which agrees across backends here because
+/// the argument is a product/quotient of positive floored quantities
+/// (never NaN, and a zero from underflow is positive).
 #[derive(Clone, Copy, Debug)]
 pub struct PrimL<L: Lane> {
     pub dens: L,
@@ -92,7 +59,7 @@ pub struct PrimL<L: Lane> {
 }
 
 impl<L: Lane> PrimL<L> {
-    /// Adiabatic sound speed (twin of [`Prim::sound_speed`]).
+    /// Adiabatic sound speed.
     #[cfg_attr(debug_assertions, inline)]
     #[cfg_attr(not(debug_assertions), inline(always))]
     pub fn sound_speed(&self) -> L {
@@ -103,7 +70,7 @@ impl<L: Lane> PrimL<L> {
             .sqrt()
     }
 
-    /// Conserved vector (twin of [`Prim::to_cons`]).
+    /// Conserved vector (ρ, ρu, ρv, ρw, ρE), as [`Prim::to_cons`].
     #[cfg_attr(debug_assertions, inline)]
     #[cfg_attr(not(debug_assertions), inline(always))]
     pub fn to_cons(&self) -> [L; NFLUX] {
@@ -116,7 +83,7 @@ impl<L: Lane> PrimL<L> {
         ]
     }
 
-    /// Physical flux (twin of [`Prim::flux`]).
+    /// Physical flux through a face normal to the sweep direction.
     #[cfg_attr(debug_assertions, inline)]
     #[cfg_attr(not(debug_assertions), inline(always))]
     pub fn flux(&self) -> [L; NFLUX] {
@@ -130,23 +97,12 @@ impl<L: Lane> PrimL<L> {
             m[4].add(self.pres).mul(u),
         ]
     }
-
-    /// Kinetic specific energy (twin of [`Prim::ekin`]).
-    #[cfg_attr(debug_assertions, inline)]
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    pub fn ekin(&self) -> L {
-        L::splat(0.5).mul(
-            self.vel[0]
-                .mul(self.vel[0])
-                .add(self.vel[1].mul(self.vel[1]))
-                .add(self.vel[2].mul(self.vel[2])),
-        )
-    }
 }
 
-/// Twin of [`cons_to_vel_ener`]. The density floor's `max` sees a positive
-/// floor constant, where the lane select-`max` equals `f64::max` bitwise
-/// (NaN/−0 in the first operand both yield the floor in either form).
+/// [`cons_to_vel_ener`] on `W` packed zones. The density floor's `max`
+/// sees a positive floor constant, where the lane select-`max` equals
+/// `f64::max` bitwise (NaN/−0 in the first operand both yield the floor in
+/// either form).
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 pub fn cons_to_vel_ener_lanes<L: Lane>(u: &[L; NFLUX], dens_floor: L) -> (L, [L; 3], L) {
@@ -160,14 +116,24 @@ pub fn cons_to_vel_ener_lanes<L: Lane>(u: &[L; NFLUX], dens_floor: L) -> (L, [L;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rflash_simd::ScalarLane;
 
     fn prim() -> Prim {
         Prim {
             dens: 2.0,
             vel: [3.0, -1.0, 0.5],
-            pres: 10.0,
             ener: 20.0,
-            gamc: 5.0 / 3.0,
+        }
+    }
+
+    /// One zone as a one-lane [`PrimL`].
+    fn lane(dens: f64, vel: [f64; 3], pres: f64, ener: f64, gamc: f64) -> PrimL<ScalarLane> {
+        PrimL {
+            dens: ScalarLane::splat(dens),
+            vel: vel.map(ScalarLane::splat),
+            pres: ScalarLane::splat(pres),
+            ener: ScalarLane::splat(ener),
+            gamc: ScalarLane::splat(gamc),
         }
     }
 
@@ -179,26 +145,21 @@ mod tests {
         assert_eq!(dens, p.dens);
         assert_eq!(vel, p.vel);
         assert_eq!(ener, p.ener);
+        let l = lane(p.dens, p.vel, 10.0, p.ener, 5.0 / 3.0);
+        assert_eq!(l.to_cons().map(|c| c.extract(0)), u, "lane form agrees");
     }
 
     #[test]
     fn flux_is_consistent_with_rankine_hugoniot_trivial_case() {
         // At rest: only the pressure terms survive.
-        let p = Prim {
-            dens: 1.0,
-            vel: [0.0; 3],
-            pres: 7.0,
-            ener: 10.0,
-            gamc: 1.4,
-        };
-        let f = p.flux();
-        assert_eq!(f, [0.0, 7.0, 0.0, 0.0, 0.0]);
+        let f = lane(1.0, [0.0; 3], 7.0, 10.0, 1.4).flux();
+        assert_eq!(f.map(|c| c.extract(0)), [0.0, 7.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn sound_speed_matches_formula() {
-        let p = prim();
-        assert!((p.sound_speed() - (5.0 / 3.0 * 10.0 / 2.0f64).sqrt()).abs() < 1e-14);
+        let c = lane(2.0, [3.0, -1.0, 0.5], 10.0, 20.0, 5.0 / 3.0).sound_speed();
+        assert!((c.extract(0) - (5.0 / 3.0 * 10.0 / 2.0f64).sqrt()).abs() < 1e-14);
     }
 
     #[test]
@@ -206,11 +167,8 @@ mod tests {
         let u = [0.0, 0.0, 0.0, 0.0, 0.0];
         let (dens, _, _) = cons_to_vel_ener(&u, 1e-10);
         assert_eq!(dens, 1e-10);
-    }
-
-    #[test]
-    fn ekin() {
-        let p = prim();
-        assert!((p.ekin() - 0.5 * (9.0 + 1.0 + 0.25)).abs() < 1e-14);
+        let ul = u.map(ScalarLane::splat);
+        let (dens, _, _) = cons_to_vel_ener_lanes(&ul, ScalarLane::splat(1e-10));
+        assert_eq!(dens.extract(0), 1e-10);
     }
 }

@@ -15,9 +15,7 @@ use std::sync::{Mutex, OnceLock};
 use proptest::prelude::*;
 use rflash_eos::{Eos, EosBatch, EosMode, EosState, GammaLaw, Helmholtz, TableConfig};
 use rflash_hugepages::Policy;
-use rflash_hydro::{
-    compute_dt_parallel, sweep_direction, SweepConfig, SweepEngine, SweepEos, NFLUX,
-};
+use rflash_hydro::{compute_dt_parallel, sweep_direction, SweepConfig, SweepEos, NFLUX};
 use rflash_mesh::flux::FluxRegister;
 use rflash_mesh::tree::MeshConfig;
 use rflash_mesh::{vars, BoundaryCondition, Domain};
@@ -100,7 +98,6 @@ fn run_backend(p: &InitParams, simd: Resolved) -> Domain {
         zbar: 1.0,
     };
     let cfg = SweepConfig {
-        engine: SweepEngine::Pencil,
         simd,
         ..SweepConfig::default()
     };

@@ -1,12 +1,17 @@
-//! Property-based tests of the Riemann solver and reconstruction.
+//! Property-based tests of the Riemann solver and reconstruction, on the
+//! one-lane instantiation of the lane kernels (every wider backend is held
+//! bit-identical to it by `backend_parity.rs` and the unit tests).
 
 use proptest::prelude::*;
-use rflash_hydro::ppm::{reconstruct, FacePair};
-use rflash_hydro::riemann::hllc;
-use rflash_hydro::state::Prim;
+use rflash_hydro::ppm::reconstruct_lanes;
+use rflash_hydro::riemann::hllc_lanes;
+use rflash_hydro::state::PrimL;
 use rflash_hydro::NFLUX;
+use rflash_simd::{Lane, ScalarLane};
 
-fn arb_prim() -> impl Strategy<Value = Prim> {
+type Zone = PrimL<ScalarLane>;
+
+fn arb_prim() -> impl Strategy<Value = Zone> {
     (
         1e-3f64..1e3,         // dens
         -1e2f64..1e2,         // u
@@ -17,22 +22,35 @@ fn arb_prim() -> impl Strategy<Value = Prim> {
     )
         .prop_map(|(dens, u, v, w, pres, gamma)| {
             let eint = pres / ((gamma - 1.0) * dens);
-            Prim {
-                dens,
-                vel: [u, v, w],
-                pres,
-                ener: eint + 0.5 * (u * u + v * v + w * w),
-                gamc: gamma,
+            PrimL {
+                dens: ScalarLane::splat(dens),
+                vel: [u, v, w].map(ScalarLane::splat),
+                pres: ScalarLane::splat(pres),
+                ener: ScalarLane::splat(eint + 0.5 * (u * u + v * v + w * w)),
+                gamc: ScalarLane::splat(gamma),
             }
         })
+}
+
+fn hllc_one(l: &Zone, r: &Zone) -> [f64; NFLUX] {
+    hllc_lanes(l, r).map(|f| f.extract(0))
+}
+
+/// `(minus, plus)` faces of zones `2..len-2`, unflattened.
+fn faces(cells: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let n = cells.len();
+    let flat = vec![1.0; n];
+    let (mut minus, mut plus) = (vec![0.0; n], vec![0.0; n]);
+    reconstruct_lanes::<ScalarLane>(cells, 2, n - 2, &flat, &mut minus, &mut plus);
+    (minus, plus)
 }
 
 proptest! {
     /// Consistency: F(U, U) equals the physical flux of U.
     #[test]
     fn hllc_consistency(p in arb_prim()) {
-        let f = hllc(&p, &p);
-        let exact = p.flux();
+        let f = hllc_one(&p, &p);
+        let exact = p.flux().map(|f| f.extract(0));
         for n in 0..NFLUX {
             let scale = exact[n].abs().max(1e-30);
             prop_assert!((f[n] - exact[n]).abs() / scale < 1e-10,
@@ -44,12 +62,12 @@ proptest! {
     /// odd fluxes (mass, energy) and preserves the momentum flux.
     #[test]
     fn hllc_mirror_symmetry(l in arb_prim(), r in arb_prim()) {
-        let f = hllc(&l, &r);
+        let f = hllc_one(&l, &r);
         let mut lm = l;
         let mut rm = r;
-        lm.vel[0] = -l.vel[0];
-        rm.vel[0] = -r.vel[0];
-        let fm = hllc(&rm, &lm);
+        lm.vel[0] = l.vel[0].neg();
+        rm.vel[0] = r.vel[0].neg();
+        let fm = hllc_one(&rm, &lm);
         let tol = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1e-10);
         prop_assert!(tol(f[0], -fm[0]), "mass: {} vs {}", f[0], -fm[0]);
         prop_assert!(tol(f[1], fm[1]), "momentum: {} vs {}", f[1], fm[1]);
@@ -59,7 +77,7 @@ proptest! {
     /// HLLC never produces NaN/inf for physical inputs.
     #[test]
     fn hllc_is_finite(l in arb_prim(), r in arb_prim()) {
-        let f = hllc(&l, &r);
+        let f = hllc_one(&l, &r);
         prop_assert!(f.iter().all(|v| v.is_finite()), "{f:?}");
     }
 
@@ -67,29 +85,24 @@ proptest! {
     /// neighborhood's range (no new extrema).
     #[test]
     fn ppm_no_new_extrema(cells in proptest::collection::vec(0.1f64..10.0, 12..32)) {
-        let flat = vec![1.0; cells.len()];
-        let mut out = vec![FacePair::default(); cells.len()];
-        reconstruct(&cells, 2, cells.len() - 2, &flat, &mut out);
+        let (minus, plus) = faces(&cells);
         for i in 2..cells.len() - 2 {
             let lo = cells[i - 1].min(cells[i]).min(cells[i + 1]) - 1e-12;
             let hi = cells[i - 1].max(cells[i]).max(cells[i + 1]) + 1e-12;
-            prop_assert!(out[i].minus >= lo && out[i].minus <= hi,
-                "zone {i}: minus={} outside [{lo},{hi}]", out[i].minus);
-            prop_assert!(out[i].plus >= lo && out[i].plus <= hi,
-                "zone {i}: plus={} outside [{lo},{hi}]", out[i].plus);
+            prop_assert!(minus[i] >= lo && minus[i] <= hi,
+                "zone {i}: minus={} outside [{lo},{hi}]", minus[i]);
+            prop_assert!(plus[i] >= lo && plus[i] <= hi,
+                "zone {i}: plus={} outside [{lo},{hi}]", plus[i]);
         }
     }
 
     /// Reconstruction of constant data is exactly constant.
     #[test]
     fn ppm_preserves_constants(v in 0.1f64..1e6, n in 10usize..24) {
-        let cells = vec![v; n];
-        let flat = vec![1.0; n];
-        let mut out = vec![FacePair::default(); n];
-        reconstruct(&cells, 2, n - 2, &flat, &mut out);
-        for f in out.iter().take(n - 2).skip(2) {
-            prop_assert_eq!(f.minus, v);
-            prop_assert_eq!(f.plus, v);
+        let (minus, plus) = faces(&vec![v; n]);
+        for i in 2..n - 2 {
+            prop_assert_eq!(minus[i], v);
+            prop_assert_eq!(plus[i], v);
         }
     }
 }

@@ -7,7 +7,6 @@
 //! rflash list-setups
 //! rflash describe <name> [--ron]
 //! rflash run-setup <name> [--full] [--steps N] [--nranks N]
-//!                         [--engine scalar|pencil]
 //!                         [--scheduler barrier|task_graph]
 //!                         [--checkpoint-dir DIR] [--checkpoint-every N]
 //! ```
@@ -20,7 +19,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rflash::core::registry::{self, spec::parse_engine, SetupSpec, StateDigest};
+use rflash::core::registry::{self, SetupSpec, StateDigest};
 use rflash::core::{
     run_fleet, worker_main, CheckpointSeries, FleetConfig, StepScheduler, WorkerArgs,
 };
@@ -30,7 +29,6 @@ const USAGE: &str = "usage:
   rflash list-setups
   rflash describe <name> [--ron]
   rflash run-setup <name> [--full] [--steps N] [--nranks N]
-                          [--engine scalar|pencil]
                           [--scheduler barrier|task_graph]
                           [--checkpoint-dir DIR] [--checkpoint-every N]
   rflash run-fleet <name> [--workers N] [--steps N] [--series-dir DIR]
@@ -138,7 +136,6 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     let mut full = false;
     let mut steps: Option<u64> = None;
     let mut nranks = 1usize;
-    let mut engine = SweepEngine::Pencil;
     let mut scheduler = StepScheduler::TaskGraph;
     let mut checkpoint_dir: Option<PathBuf> = None;
     let mut checkpoint_every = 0u64;
@@ -163,11 +160,6 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
                 nranks = value("--nranks")?
                     .parse()
                     .map_err(|e| format!("--nranks: {e}"))?
-            }
-            "--engine" => {
-                let s = value("--engine")?;
-                engine = parse_engine(&s)
-                    .ok_or_else(|| format!("--engine: expected scalar|pencil, got `{s}`"))?;
             }
             "--scheduler" => {
                 scheduler = match value("--scheduler")?.as_str() {
@@ -196,11 +188,11 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     let spec = if full { paper } else { paper.at_smoke_scale() };
     let steps = steps.unwrap_or(spec.smoke.steps);
 
-    let mut params = registry::smoke_params(&spec, nranks, engine, scheduler);
+    let mut params = registry::smoke_params(&spec, nranks, SweepEngine::Pencil, scheduler);
     params.checkpoint_every = checkpoint_every;
 
     println!(
-        "{}: {} ({} scale, {steps} steps, nranks={nranks}, {engine:?}/{scheduler:?})",
+        "{}: {} ({} scale, {steps} steps, nranks={nranks}, {scheduler:?})",
         spec.name,
         spec.title,
         if full { "paper" } else { "smoke" },

@@ -6,6 +6,7 @@
 //! the current container format.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rflash::core::checkpoint::{
     read_checkpoint, verify_checkpoint, CheckpointError, CHECKPOINT_FORMAT,
@@ -14,8 +15,12 @@ use rflash::core::RuntimeParams;
 use rflash::hugepages::Policy;
 use rflash::mesh::{Domain, MeshConfig};
 
+/// A fresh path per call: the harness runs the tests in parallel and every
+/// one of them writes, reads and removes its own files.
 fn scratch(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("rflash-ckpt-corpus-{}-{name}", std::process::id()))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("rflash-ckpt-corpus-{}-{n}-{name}", std::process::id()))
 }
 
 /// A small good checkpoint to corrupt, plus its raw bytes and header span.

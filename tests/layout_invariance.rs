@@ -3,15 +3,11 @@
 //! SoA order (`VarLast`) are different *addresses* for the same arithmetic,
 //! so a run under each must agree bit-for-bit. This pins down that every
 //! kernel goes through the layout-aware indexing and none bakes in a
-//! stride. The same contract holds one level down: the pencil-batched SoA
-//! sweep engine is a different *schedule* for the same arithmetic as the
-//! scalar per-zone engine, so full runs under each must also agree
-//! bit-for-bit.
+//! stride.
 
 use rflash::core::setups::sedov::SedovSetup;
 use rflash::core::RuntimeParams;
 use rflash::hugepages::Policy;
-use rflash::hydro::SweepEngine;
 use rflash::mesh::{vars, Layout};
 
 /// Bitwise comparison of two evolved simulations: same AMR topology, same
@@ -72,35 +68,4 @@ fn physics_is_bit_identical_across_unk_layouts() {
     let a = run(Layout::VarFirst);
     let b = run(Layout::VarLast);
     assert_runs_identical(&a, &b, "layout");
-}
-
-/// The pencil-batched SoA engine replicates the scalar engine's exact
-/// floating-point operation order, so a full 3-d Sedov run — sweeps,
-/// flux corrections, regrids, instrumented EOS passes — must agree
-/// bit-for-bit between the two.
-#[test]
-fn pencil_engine_is_bit_identical_to_scalar_on_sedov_3d() {
-    let run_engine = |engine: SweepEngine| {
-        let setup = SedovSetup {
-            ndim: 3,
-            nxb: 8,
-            max_refine: 2,
-            max_blocks: 256,
-            ..SedovSetup::default()
-        };
-        let params = RuntimeParams {
-            policy: Policy::None,
-            use_hw: false,
-            pattern_every: 0,
-            gather_every: 0,
-            sweep_engine: engine,
-            ..RuntimeParams::with_mesh(setup.mesh_config())
-        };
-        let mut sim = setup.build(params);
-        sim.evolve(8);
-        sim
-    };
-    let scalar = run_engine(SweepEngine::Scalar);
-    let pencil = run_engine(SweepEngine::Pencil);
-    assert_runs_identical(&scalar, &pencil, "sweep engine");
 }

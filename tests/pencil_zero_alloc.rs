@@ -12,7 +12,7 @@
 use rflash::core::setups::sedov::SedovSetup;
 use rflash::core::RuntimeParams;
 use rflash::hugepages::{PageSize, Policy};
-use rflash::hydro::{compute_dt_parallel, sweep_direction, SweepConfig, SweepEngine, SweepEos, NFLUX};
+use rflash::hydro::{compute_dt_parallel, sweep_direction, SweepConfig, SweepEos, NFLUX};
 use rflash::mesh::flux::FluxRegister;
 use rflash::perfmon::AllocSummary;
 
@@ -34,12 +34,10 @@ fn steady_state_sweeps_allocate_nothing_after_first_epoch() {
         use_hw: false,
         pattern_every: 0,
         gather_every: 0,
-        sweep_engine: SweepEngine::Pencil,
         ..RuntimeParams::with_mesh(setup.mesh_config())
     });
     let ndim = sim.domain.tree.config().ndim;
     let cfg = SweepConfig {
-        engine: SweepEngine::Pencil,
         scratch_policy: Policy::HugeTlbFs(PageSize::Huge2M),
         pattern_every: 0,
         ..SweepConfig::default()

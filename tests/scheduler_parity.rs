@@ -1,8 +1,8 @@
 //! Scheduler parity battery: the per-block task-graph step path must be
 //! bit-identical to the pool-wide-barrier path — same leaves, same time
 //! series, same interior bits — on both paper problems, across rank
-//! counts and both sweep engines, and straight through guardian-driven
-//! mid-step rollbacks and dt-retry ladders.
+//! counts, and straight through guardian-driven mid-step rollbacks and
+//! dt-retry ladders.
 //!
 //! The graph schedules per-block work the moment its dependencies clear,
 //! so blocks race each other freely; determinism rests on the canonical
@@ -18,7 +18,6 @@ use rflash::core::{
     CheckpointSeries, GuardianConfig, RuntimeParams, Simulation, StepScheduler,
 };
 use rflash::hugepages::{FaultKind, FaultPlan, FaultSite, Policy};
-use rflash::hydro::SweepEngine;
 
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rflash-schedpar-it-{}-{name}", std::process::id()))
@@ -43,7 +42,7 @@ fn state_bits(sim: &Simulation) -> Vec<u64> {
     bits
 }
 
-fn sedov3d(scheduler: StepScheduler, nranks: usize, engine: SweepEngine) -> Simulation {
+fn sedov3d(scheduler: StepScheduler, nranks: usize) -> Simulation {
     let setup = SedovSetup {
         ndim: 3,
         nxb: 8,
@@ -57,14 +56,13 @@ fn sedov3d(scheduler: StepScheduler, nranks: usize, engine: SweepEngine) -> Simu
         pattern_every: 0,
         gather_every: 0,
         nranks,
-        sweep_engine: engine,
         step_scheduler: scheduler,
         ..RuntimeParams::with_mesh(setup.mesh_config())
     };
     setup.build(params)
 }
 
-fn supernova2d(scheduler: StepScheduler, nranks: usize, engine: SweepEngine) -> Simulation {
+fn supernova2d(scheduler: StepScheduler, nranks: usize) -> Simulation {
     let setup = SupernovaSetup {
         max_refine: 1,
         max_blocks: 256,
@@ -77,64 +75,58 @@ fn supernova2d(scheduler: StepScheduler, nranks: usize, engine: SweepEngine) -> 
         pattern_every: 0,
         gather_every: 0,
         nranks,
-        sweep_engine: engine,
         step_scheduler: scheduler,
         ..RuntimeParams::with_mesh(setup.mesh_config())
     })
 }
 
-/// 3-d Sedov: task-graph vs barrier, every rank count and both sweep
-/// engines. The nranks = 1 column also pins the documented fallback (a
-/// single rank has nothing to overlap, so the graph path defers to the
-/// barrier loop).
+/// 3-d Sedov: task-graph vs barrier at every rank count. The nranks = 1
+/// column also pins the documented fallback (a single rank has nothing to
+/// overlap, so the graph path defers to the barrier loop).
 #[test]
-fn sedov_3d_taskgraph_matches_barrier_all_ranks_and_engines() {
+fn sedov_3d_taskgraph_matches_barrier_all_ranks() {
     let _quiet = FaultPlan::new(0).activate();
-    for engine in [SweepEngine::Scalar, SweepEngine::Pencil] {
-        for nranks in [1usize, 3, 4] {
-            let mut barrier = sedov3d(StepScheduler::Barrier, nranks, engine);
-            barrier.evolve(3);
-            let mut graph = sedov3d(StepScheduler::TaskGraph, nranks, engine);
-            graph.evolve(3);
-            assert_eq!(
-                state_bits(&barrier),
-                state_bits(&graph),
-                "divergence at nranks={nranks}, engine={engine:?}"
+    for nranks in [1usize, 3, 4] {
+        let mut barrier = sedov3d(StepScheduler::Barrier, nranks);
+        barrier.evolve(3);
+        let mut graph = sedov3d(StepScheduler::TaskGraph, nranks);
+        graph.evolve(3);
+        assert_eq!(
+            state_bits(&barrier),
+            state_bits(&graph),
+            "divergence at nranks={nranks}"
+        );
+        if nranks > 1 {
+            assert!(
+                graph.graph_report.executions >= 3,
+                "the graph path must actually have run at nranks={nranks}"
             );
-            if nranks > 1 {
-                assert!(
-                    graph.graph_report.executions >= 3,
-                    "the graph path must actually have run at nranks={nranks}"
-                );
-                let tasks: u64 = graph.graph_report.per_rank.iter().map(|r| r.tasks).sum();
-                assert!(tasks > 0, "ranks executed tasks");
-            } else {
-                assert_eq!(
-                    graph.graph_report.executions, 0,
-                    "one rank falls back to the barrier loop"
-                );
-            }
+            let tasks: u64 = graph.graph_report.per_rank.iter().map(|r| r.tasks).sum();
+            assert!(tasks > 0, "ranks executed tasks");
+        } else {
+            assert_eq!(
+                graph.graph_report.executions, 0,
+                "one rank falls back to the barrier loop"
+            );
         }
     }
 }
 
 /// 2-d Helmholtz supernova (flame + gravity live, so the graph runs its
-/// unfused tail): task-graph vs barrier across rank counts and engines.
+/// unfused tail): task-graph vs barrier across rank counts.
 #[test]
-fn supernova_2d_taskgraph_matches_barrier_all_ranks_and_engines() {
+fn supernova_2d_taskgraph_matches_barrier_all_ranks() {
     let _quiet = FaultPlan::new(0).activate();
-    for engine in [SweepEngine::Scalar, SweepEngine::Pencil] {
-        for nranks in [1usize, 3, 4] {
-            let mut barrier = supernova2d(StepScheduler::Barrier, nranks, engine);
-            barrier.evolve(3);
-            let mut graph = supernova2d(StepScheduler::TaskGraph, nranks, engine);
-            graph.evolve(3);
-            assert_eq!(
-                state_bits(&barrier),
-                state_bits(&graph),
-                "divergence at nranks={nranks}, engine={engine:?}"
-            );
-        }
+    for nranks in [1usize, 3, 4] {
+        let mut barrier = supernova2d(StepScheduler::Barrier, nranks);
+        barrier.evolve(3);
+        let mut graph = supernova2d(StepScheduler::TaskGraph, nranks);
+        graph.evolve(3);
+        assert_eq!(
+            state_bits(&barrier),
+            state_bits(&graph),
+            "divergence at nranks={nranks}"
+        );
     }
 }
 
@@ -149,7 +141,7 @@ fn checkpoints_agree_across_schedulers() {
         let dir = scratch(tag);
         let _ = std::fs::remove_dir_all(&dir);
         let series = CheckpointSeries::new(&dir, "chk");
-        let mut sim = sedov3d(scheduler, 4, SweepEngine::Pencil);
+        let mut sim = sedov3d(scheduler, 4);
         sim.params.checkpoint_every = 2;
         sim.evolve_checkpointed(4, &series).expect("clean run");
         let (step, path) = series.scan().unwrap().pop().expect("a checkpoint landed");
@@ -187,7 +179,7 @@ fn guardian_rollback_mid_graph_recovers_bit_exactly() {
         let _g = FaultPlan::new(0)
             .with(FaultSite::StepNan, FaultKind::FirstN { n: 1, errno: 22 })
             .activate();
-        let mut sim = sedov3d(StepScheduler::TaskGraph, 4, SweepEngine::Pencil);
+        let mut sim = sedov3d(StepScheduler::TaskGraph, 4);
         sim.params.guardian = GuardianConfig {
             max_retries: 2,
             ..GuardianConfig::default()
@@ -206,7 +198,7 @@ fn guardian_rollback_mid_graph_recovers_bit_exactly() {
     );
 
     let _quiet = FaultPlan::new(0).activate();
-    let mut clean = sedov3d(StepScheduler::Barrier, 4, SweepEngine::Pencil);
+    let mut clean = sedov3d(StepScheduler::Barrier, 4);
     clean.params.guardian = GuardianConfig {
         max_retries: 2,
         ..GuardianConfig::default()
@@ -231,7 +223,7 @@ fn poisoned_dt_under_taskgraph_matches_barrier_recovery() {
         let _g = FaultPlan::new(0)
             .with(FaultSite::DtZero, FaultKind::FirstN { n: 1, errno: 22 })
             .activate();
-        let mut sim = sedov3d(scheduler, 3, SweepEngine::Scalar);
+        let mut sim = sedov3d(scheduler, 3);
         sim.params.guardian = GuardianConfig {
             max_retries: 2,
             ..GuardianConfig::default()
